@@ -14,7 +14,9 @@ collapse to one entry, and cosine similarity loses resolution.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -69,5 +71,31 @@ def select_replicas(
         gaps = np.array([rtt - best_rtt for _, rtt in window])
         weights = np.exp(-gaps / temperature_ms)
     weights = weights / weights.sum()
-    chosen = rng.choice(len(window), size=take, replace=False, p=weights)
-    return [window[int(i)][0] for i in chosen]
+    return [window[i][0] for i in weighted_sample(rng, weights.tolist(), take)]
+
+
+def weighted_sample(rng: np.random.Generator, p: List[float], size: int) -> List[int]:
+    """``rng.choice(len(p), size, replace=False, p=p)`` without numpy overhead.
+
+    The same algorithm as ``Generator.choice``, in plain floats: draw one
+    uniform per missing index, zero the weights already found, take the
+    cumulative sum in order, normalise by its last value, bisect right,
+    keep new indices in draw order and redraw until ``size`` are found.
+    Same draws, same results, same generator state; ``p`` must sum to
+    one and is modified in place.
+    """
+    if sum(1 for w in p if w > 0) < size:
+        raise ValueError("Fewer non-zero entries in p than size")
+    found: List[int] = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        for i in found:
+            p[i] = 0.0
+        cdf = list(accumulate(p))
+        total = cdf[-1]
+        cdf = [c / total for c in cdf]
+        for x in draws:
+            i = bisect_right(cdf, x)
+            if i not in found:
+                found.append(i)
+    return found

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cdn.loadbalance import SelectionPolicy, select_replicas
 from repro.cdn.replica import ReplicaDeployment, ReplicaServer
+from repro.netsim.latency import HostColumns
 from repro.netsim.network import Network
 from repro.netsim.rng import derive_rng
 from repro.netsim.topology import Host
@@ -97,6 +98,10 @@ class MappingSystem:
         self.params = params
         self._rng = derive_rng(seed, "mapping", "selection")
         self._pools: Dict[int, List[ReplicaServer]] = {}
+        #: The fleet the columns were built for, and its host columns
+        #: (rebuilt when the deployment's replica list changes).
+        self._fleet: Tuple[ReplicaServer, ...] = ()
+        self._fleet_columns = HostColumns(())
         self._rankings: Dict[int, Tuple[int, List[RankedReplica]]] = {}
         #: (epoch, address) load bookkeeping for the current epoch only.
         self._load_epoch = -1
@@ -168,23 +173,26 @@ class MappingSystem:
         """
         pool = self._pools.get(ldns.host_id)
         if pool is None:
+            fleet = tuple(self.deployment)
+            if fleet != self._fleet:
+                self._fleet = fleet
+                self._fleet_columns = HostColumns([r.host for r in fleet])
             providers = set(self.network.topology.registry.transit_providers_of(ldns.asn))
             eligible = [
-                r
-                for r in self.deployment
+                i
+                for i, r in enumerate(fleet)
                 if not r.isp_restricted or r.host.asn in providers
             ]
             if ldns.region.value in self._rehomed_regions:
-                rehomed = [r for r in eligible if r.host.region is not ldns.region]
+                rehomed = [i for i in eligible if fleet[i].host.region is not ldns.region]
                 # Never leave a resolver with nothing: if the exclusion
                 # empties the pool, the rehome is ignored for it.
                 if rehomed:
                     eligible = rehomed
-            by_base = sorted(
-                eligible,
-                key=lambda r: self.network.base_rtt_ms(ldns, r.host),
+            nearest = self.network.latency.nearest_ms(
+                ldns, self._fleet_columns, self.params.candidate_pool_size, eligible
             )
-            pool = by_base[: self.params.candidate_pool_size]
+            pool = [fleet[i] for i, _ in nearest]
             self._pools[ldns.host_id] = pool
         return pool
 
@@ -243,13 +251,12 @@ class MappingSystem:
                 # entirely: fall back to the customer's replicas ranked
                 # by base RTT (a cold, coarse answer — like real CDNs'
                 # fallback mapping).
-                by_base = sorted(
-                    pool, key=lambda r: self.network.base_rtt_ms(ldns, r.host)
+                nearest = self.network.latency.nearest_ms(
+                    ldns,
+                    HostColumns([r.host for r in pool]),
+                    self.params.candidate_pool_size,
                 )
-                ranked = [
-                    (r, self.network.base_rtt_ms(ldns, r.host))
-                    for r in by_base[: self.params.candidate_pool_size]
-                ]
+                ranked = [(pool[i], rtt) for i, rtt in nearest]
         ranked = self._apply_load(ranked)
         chosen = select_replicas(
             ranked,

@@ -52,6 +52,10 @@ _PROBE_WINDOW_PREFIX = "probe-window:"
 _WINDOW_KEY_PREFIXES = (_PROBE_WINDOW_PREFIX, "event-window:")
 
 
+#: No usable payload: absent, or damaged and dropped by ``_load``.
+_MISSING = object()
+
+
 def _parse_probe_window_key(key: str) -> Optional[Tuple[str, str, int]]:
     """``(params_fp, interval_label, rounds)`` for a probe-window key."""
     if not key.startswith(_PROBE_WINDOW_PREFIX):
@@ -77,6 +81,8 @@ class SnapshotStore:
             self.directory.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: Payloads that failed to unpickle (also counted as misses).
+        self.corrupt = 0
         self.puts = 0
         #: Prefix-extension accounting (see module doc); the window
         #: drivers in :mod:`repro.workloads.scenario` increment the
@@ -123,14 +129,42 @@ class SnapshotStore:
                     self._entries[key] = payload
         return payload
 
+    def _load(self, key: str, payload: bytes) -> object:
+        """Unpickle a payload; a damaged one is dropped (``_MISSING``).
+
+        A truncated or garbage entry (an interrupted writer, a full
+        disk, a foreign file) costs a re-simulation, never a failed
+        cell: the entry and its files are removed and ``corrupt``
+        counts it.
+        """
+        try:
+            return pickle.loads(payload)
+        except Exception:
+            self.corrupt += 1
+            self._entries.pop(key, None)
+            parsed = _parse_probe_window_key(key)
+            if parsed is not None:
+                params_fp, interval_label, rounds = parsed
+                self._probe_index.get((params_fp, interval_label), {}).pop(rounds, None)
+            if self.directory is not None:
+                path = self._path_for(key)
+                path.unlink(missing_ok=True)
+                path.with_suffix(".key").unlink(missing_ok=True)
+            return _MISSING
+
     def get(self, key: str) -> Optional[object]:
-        """A fresh copy of the stored value, or None (counted)."""
+        """A fresh copy of the stored value, or None (counted).
+
+        A payload that fails to unpickle counts as a miss (and on
+        ``corrupt``) and is removed.
+        """
         payload = self._payload(key)
-        if payload is None:
+        value = _MISSING if payload is None else self._load(key, payload)
+        if value is _MISSING:
             self.misses += 1
             return None
         self.hits += 1
-        return pickle.loads(payload)
+        return value
 
     def put(self, key: str, value: object) -> None:
         """Store a value (pickled immediately; later mutation is moot)."""
@@ -193,11 +227,13 @@ class SnapshotStore:
         for rounds in sorted(bucket, reverse=True):
             if rounds > max_rounds:
                 continue
-            payload = self._payload(bucket[rounds])
-            if payload is None:
+            key = bucket[rounds]
+            payload = self._payload(key)
+            snapshot = _MISSING if payload is None else self._load(key, payload)
+            if snapshot is _MISSING:
                 continue
             self.prefix_hits += 1
-            return rounds, pickle.loads(payload)
+            return rounds, snapshot
         return None
 
     def get_or_compute(self, key: str, compute: Callable[[], T]) -> T:
@@ -231,6 +267,7 @@ class SnapshotStore:
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "corrupt": self.corrupt,
             "puts": self.puts,
             "prefix_hits": self.prefix_hits,
             "rounds_saved": self.rounds_saved,

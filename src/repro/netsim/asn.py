@@ -55,6 +55,14 @@ class ASRegistry:
         self._by_asn: Dict[int, AutonomousSystem] = {}
         self._graph = nx.Graph()
         self._hop_cache: Dict[Tuple[int, int], int] = {}
+        #: ``source -> {asn: hops}`` BFS rows for one-to-many queries
+        #: (:meth:`hops_from`); derived from the graph, so not pickled.
+        self._hop_rows: Dict[int, Dict[int, int]] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_hop_rows"] = {}
+        return state
 
     # -- construction ----------------------------------------------------
 
@@ -74,6 +82,7 @@ class ASRegistry:
             raise ValueError("an AS cannot peer with itself")
         self._graph.add_edge(asn_a, asn_b)
         self._hop_cache.clear()
+        self._hop_rows.clear()
 
     # -- queries -----------------------------------------------------------
 
@@ -138,6 +147,22 @@ class ASRegistry:
             cached = nx.shortest_path_length(self._graph, asn_a, asn_b)
             self._hop_cache[key] = cached
         return cached
+
+    def hops_from(self, source: int, target: int) -> int:
+        """``hops(source, target)``, answered from one BFS row per source.
+
+        For one-to-many queries (a replica against every resolver): the
+        first query from ``source`` runs a single breadth-first search
+        over the whole graph, later ones are dictionary lookups.
+        """
+        row = self._hop_rows.get(source)
+        if row is None:
+            row = nx.single_source_shortest_path_length(self._graph, source)
+            self._hop_rows[source] = row
+        hops = row.get(target)
+        if hops is None:
+            raise nx.NetworkXNoPath(f"no AS path between {source} and {target}")
+        return hops
 
     # -- generation ----------------------------------------------------------
 

@@ -2,8 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cdn.loadbalance import SelectionPolicy, select_replicas
+from repro.cdn.loadbalance import SelectionPolicy, select_replicas, weighted_sample
 from repro.cdn.replica import ReplicaServer
 from repro.netsim import HostKind
 
@@ -91,3 +93,59 @@ def test_parameter_validation(ranked):
         select_replicas(ranked, rng, spread=0)
     with pytest.raises(ValueError):
         select_replicas(ranked, rng, temperature_ms=0.0)
+
+
+# -- the draw equals Generator.choice --------------------------------------------
+
+
+def _choice_reference(ranked, rng, answer_size, spread, temperature_ms, policy):
+    """``select_replicas`` as first written, drawing with ``rng.choice``."""
+    window = list(ranked[: max(spread, answer_size)])
+    take = min(answer_size, len(window))
+    if policy is SelectionPolicy.BEST_ONLY:
+        return [replica for replica, _ in window[:take]]
+    if policy is SelectionPolicy.UNIFORM:
+        weights = np.ones(len(window))
+    else:
+        best_rtt = window[0][1]
+        gaps = np.array([rtt - best_rtt for _, rtt in window])
+        weights = np.exp(-gaps / temperature_ms)
+    weights = weights / weights.sum()
+    chosen = rng.choice(len(window), size=take, replace=False, p=weights)
+    return [window[int(i)][0] for i in chosen]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    policy=st.sampled_from(list(SelectionPolicy)),
+    spread=st.integers(1, 12),
+    answer_size=st.integers(1, 6),
+    temperature_ms=st.floats(0.05, 50.0),
+    gaps=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_draw_equals_generator_choice(policy, spread, answer_size, temperature_ms, gaps, seed):
+    ranked = [(f"replica-{i}", 10.0 + g) for i, g in enumerate(sorted(gaps))]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = _choice_reference(ranked, theirs, answer_size, spread, temperature_ms, policy)
+    except ValueError:
+        # Weights underflowed to zero for too many candidates: the
+        # reference refuses, and so must the replacement.
+        with pytest.raises(ValueError):
+            select_replicas(ranked, ours, answer_size, spread, temperature_ms, policy)
+        return
+    got = select_replicas(ranked, ours, answer_size, spread, temperature_ms, policy)
+    assert got == expected
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_draw_redraws_like_generator_choice():
+    # One dominant weight: the first pass draws it repeatedly, so later
+    # answers come from redraws.
+    p = [0.97, 0.01, 0.01, 0.01]
+    for seed in range(200):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [int(i) for i in theirs.choice(4, size=3, replace=False, p=np.array(p))]
+        assert weighted_sample(ours, list(p), 3) == expected
+        assert ours.bit_generator.state == theirs.bit_generator.state

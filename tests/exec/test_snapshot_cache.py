@@ -82,3 +82,78 @@ def test_runner_snapshot_cache_flag(tmp_path, capsys):
     assert reports_a == sorted(p.name for p in out_b.glob("*.txt"))
     for name in reports_a:
         assert (out_a / name).read_text() == (out_b / name).read_text()
+
+
+# -- damaged payloads fail safe ------------------------------------------------
+
+
+def _window_files(directory):
+    """``{key: payload path}`` for every probe-window entry on disk."""
+    return {
+        sidecar.read_text(encoding="utf-8"): sidecar.with_suffix(".pkl")
+        for sidecar in directory.glob("*.key")
+    }
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def test_damaged_payload_is_a_counted_miss(tmp_path):
+    from repro.exec import SnapshotStore
+
+    store = SnapshotStore(directory=tmp_path)
+    store.put("artifact", {"answer": 42})
+    path = next(tmp_path.glob("*.pkl"))
+    path.write_bytes(b"not a pickle")
+    fresh = SnapshotStore(directory=tmp_path)
+    assert fresh.get("artifact") is None
+    assert fresh.stats()["corrupt"] == 1 and fresh.misses == 1 and fresh.hits == 0
+    assert not path.exists()  # removed, so the next put rewrites it
+    assert fresh.get_or_compute("artifact", lambda: {"answer": 42}) == {"answer": 42}
+    assert SnapshotStore(directory=tmp_path).get("artifact") == {"answer": 42}
+
+
+def test_best_prefix_skips_a_damaged_prefix(tmp_path):
+    from repro.exec import SnapshotStore
+    from repro.obs.manifest import fingerprint_params
+    from repro.workloads.scenario import ScenarioParams, driven_scenario, probe_window_key
+
+    params = ScenarioParams(seed=42, dns_servers=10, planetlab_nodes=6, build_meridian=False)
+    store = SnapshotStore(directory=tmp_path)
+    for rounds in (2, 4):
+        driven_scenario(params, rounds=rounds, store=store)
+    files = _window_files(tmp_path)
+    _truncate(files[probe_window_key(params, 4, 10.0)])
+
+    fresh = SnapshotStore(directory=tmp_path)
+    rounds, snapshot = fresh.best_prefix(fingerprint_params(params), 10.0, 6)
+    assert rounds == 2 and snapshot.rounds == 2
+    assert fresh.corrupt == 1 and fresh.prefix_hits == 1
+    assert probe_window_key(params, 4, 10.0) not in _window_files(tmp_path)
+
+    _truncate(files[probe_window_key(params, 2, 10.0)])
+    assert SnapshotStore(directory=tmp_path).best_prefix(
+        fingerprint_params(params), 10.0, 6
+    ) is None
+
+
+def test_truncated_window_resimulates_warm_fig8_cell(tmp_path):
+    from repro.exec import SnapshotStore
+    from repro.experiments.fig8_interval import run_fig8_point
+    from repro.workloads.scenario import ScenarioParams
+
+    params = ScenarioParams(seed=23, dns_servers=10, planetlab_nodes=10, build_meridian=False)
+    cold = run_fig8_point(params, 20.0, 200.0, evaluations=2, store=SnapshotStore(directory=tmp_path))
+    files = _window_files(tmp_path)
+    assert len(files) == 2  # one window per evaluation checkpoint
+    for path in files.values():
+        _truncate(path)
+
+    warm = SnapshotStore(directory=tmp_path)
+    assert run_fig8_point(params, 20.0, 200.0, evaluations=2, store=warm) == cold
+    assert warm.corrupt == 2 and warm.full_runs == 1
+    # The re-simulated windows replaced the damaged files.
+    again = SnapshotStore(directory=tmp_path)
+    assert run_fig8_point(params, 20.0, 200.0, evaluations=2, store=again) == cold
+    assert again.corrupt == 0 and again.full_runs == 0

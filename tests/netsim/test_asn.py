@@ -107,3 +107,49 @@ def test_sample_stub_without_metro_uses_whole_region(registry):
     rng = np.random.default_rng(1)
     seen = {registry.sample_stub(Region.ASIA, rng).asn for _ in range(200)}
     assert len(seen) > 8  # more than one metro slice's worth
+
+
+def test_hop_rows_match_shortest_path_length(registry):
+    import networkx as nx
+
+    asns = registry.all_asns()
+    for source in asns[:: max(1, len(asns) // 12)]:
+        for target in asns:
+            expected = nx.shortest_path_length(registry._graph, source, target)
+            assert registry.hops_from(source, target) == expected
+            assert registry.hops(target, source) == expected
+
+
+def _chain_registry():
+    registry = ASRegistry()
+    for asn in (100, 101, 102, 103):
+        registry.add(AutonomousSystem(asn, f"as{asn}", tier=1, region=None))
+    registry.add(AutonomousSystem(104, "island", tier=1, region=None))
+    for a, b in ((100, 101), (101, 102), (102, 103)):
+        registry.link(a, b)
+    return registry
+
+
+def test_link_after_query_invalidates_hop_rows():
+    registry = _chain_registry()
+    assert registry.hops_from(100, 103) == 3
+    assert registry.hops(100, 103) == 3
+    registry.link(100, 103)
+    assert registry.hops_from(100, 103) == 1
+    assert registry.hops_from(103, 101) == 2
+    assert registry.hops(100, 103) == 1
+
+
+def test_hop_rows_unreachable_and_pickling():
+    import pickle
+
+    import networkx as nx
+
+    registry = _chain_registry()
+    with pytest.raises(nx.NetworkXNoPath):
+        registry.hops_from(100, 104)
+    with pytest.raises(nx.NetworkXNoPath):
+        registry.hops(100, 104)
+    restored = pickle.loads(pickle.dumps(registry))
+    assert restored._hop_rows == {}  # derived state is rebuilt, not stored
+    assert restored.hops_from(100, 103) == 3

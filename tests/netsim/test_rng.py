@@ -46,3 +46,16 @@ def test_stable_unit_float_in_range():
 
 def test_stable_unit_float_stable():
     assert stable_unit_float(7, "pair", "1", "2") == stable_unit_float(7, "pair", "1", "2")
+
+
+def test_seed_hasher_prefix_continues_derive_seed():
+    from repro.netsim.rng import hashed_seed, seed_hasher, unit_float
+
+    prefix = seed_hasher(42, "stretch")
+    for lo, hi in ((0, 1), (7, 300), (12345, 99999)):
+        assert hashed_seed(prefix, str(lo), str(hi)) == derive_seed(42, "stretch", str(lo), str(hi))
+        assert unit_float(hashed_seed(prefix, str(lo), str(hi))) == stable_unit_float(
+            42, "stretch", str(lo), str(hi)
+        )
+    # The prefix is copied, never advanced.
+    assert hashed_seed(prefix) == derive_seed(42, "stretch")
